@@ -262,24 +262,28 @@ func BenchmarkChaos_Stragglers(b *testing.B) { benchChaosScenario(b, "stragglers
 
 // BenchmarkSimulatorEventRate measures the raw simulator throughput: how
 // many end-to-end RUBBoS requests the DES processes per wall-clock second
-// (the substrate's own performance, independent of any experiment).
+// (the substrate's own performance, independent of any experiment). The
+// completion callback is bound once, so allocs/op is the request
+// lifecycle's own; cmd/benchreport reports the same loop, warmed up, as
+// request/lifecycle.
 func BenchmarkSimulatorEventRate(b *testing.B) {
 	b.ReportAllocs()
 	c := cluster.New(cluster.DefaultConfig())
-	done := 0
+	completed := 0
+	done := func(ok bool) {
+		if ok {
+			completed++
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Submit(func(ok bool) {
-			if ok {
-				done++
-			}
-		})
+		c.Submit(done)
 		if i%1024 == 1023 {
 			c.Eng.Run()
 		}
 	}
 	c.Eng.Run()
-	if done == 0 {
+	if completed == 0 {
 		b.Fatal("no requests completed")
 	}
 }

@@ -26,6 +26,13 @@ var gatePairs = [][2]string{
 	{"forensics/detector_tick", "des/schedule_fire"},
 	{"twin/tick_steady", "des/schedule_fire"},
 	{"qnet/snapshot_solve", "des/schedule_fire"},
+	{"request/lifecycle", "des/schedule_fire"},
+}
+
+// allocBudgets are hard allocs/op ceilings that hold whether or not the
+// committed history knows the benchmark yet.
+var allocBudgets = map[string]int64{
+	"request/lifecycle": 0,
 }
 
 // historyReport is the slice of a committed BENCH_*.json the gate
@@ -87,7 +94,13 @@ func resultIndex(rs []Result) map[string]Result {
 //   - allocation rule: allocs/op is machine-independent, so any
 //     benchmark present in history must not allocate more now — a
 //     zero-alloc path must stay at zero, a nonzero one gets the same
-//     slack factor.
+//     slack factor;
+//   - budget rule: a benchmark with an allocBudgets entry must stay
+//     within it, history or not.
+//
+// A gate pair or benchmark no committed report knows yet passes the
+// ratio and growth rules: it gains a trajectory once a report holding it
+// is committed.
 func gateCheck(current []Result, history []historyReport, slack float64) []string {
 	var violations []string
 	cur := resultIndex(current)
@@ -123,6 +136,11 @@ func gateCheck(current []Result, history []historyReport, slack float64) []strin
 	}
 
 	for _, r := range current {
+		if budget, ok := allocBudgets[r.Name]; ok && r.AllocsPerOp > budget {
+			violations = append(violations, fmt.Sprintf(
+				"%s allocates %d allocs/op, budget %d", r.Name, r.AllocsPerOp, budget))
+			continue
+		}
 		// Compare against the newest committed report that knows the
 		// benchmark — the most recent accepted trajectory point.
 		var hist *Result

@@ -1,5 +1,5 @@
 // Command benchreport measures the repo's performance-critical paths and
-// writes the results as a machine-readable JSON file (BENCH_10.json), so
+// writes the results as a machine-readable JSON file (BENCH_12.json), so
 // every future change has a perf trajectory to compare against:
 //
 //   - DES engine microbenchmarks (inline 4-ary heap) against the frozen
@@ -48,20 +48,23 @@
 //     meter, and admission overhead end to end: the same run bare,
 //     with an explicit always-admit policy installed (must stay
 //     byte-identical to no policy at all), and with the queue-cap
-//     shedder armed to smoke the drop path.
+//     shedder armed to smoke the drop path;
+//   - the request lifecycle end to end: one bare RUBBoS request through
+//     the web, app and DB tiers of a default cluster, from Submit to its
+//     completion callback (must stay at zero allocations).
 //
 // The -gate mode re-measures only the hot-path microbenchmarks and
-// diffs them against the committed BENCH_2..10 trajectory: the
+// diffs them against the committed BENCH_2..12 trajectory: the
 // machine-independent same-process ns ratios (des vs the frozen
-// baseline, striper barrier vs the engine hot path) must stay within
-// the slack factor of the worst committed ratio, and allocs/op must
-// not grow.
+// baseline, striper barrier and request lifecycle vs the engine hot
+// path) must stay within the slack factor of the worst committed ratio,
+// allocs/op must not grow, and the zero-allocation budgets hold.
 //
 // Usage:
 //
-//	benchreport -out BENCH_10.json          # full measurement
-//	benchreport -short -out BENCH_10.json   # CI smoke (seconds, not minutes)
-//	benchreport -gate                       # trend gate vs committed BENCH_2..10
+//	benchreport -out BENCH_12.json          # full measurement
+//	benchreport -short -out BENCH_12.json   # CI smoke (seconds, not minutes)
+//	benchreport -gate                       # trend gate vs committed BENCH_2..12
 package main
 
 import (
@@ -195,7 +198,7 @@ type Admission struct {
 	RWSheds           uint64  `json:"read_write_sheds"`
 }
 
-// Report is the BENCH_10.json document.
+// Report is the BENCH_12.json document.
 type Report struct {
 	Schema     string             `json:"schema"`
 	GoVersion  string             `json:"go_version"`
@@ -226,10 +229,10 @@ func measure(name string, fn func(b *testing.B)) Result {
 
 func main() {
 	var (
-		out          = flag.String("out", "BENCH_10.json", "output path for the JSON report")
+		out          = flag.String("out", "BENCH_12.json", "output path for the JSON report")
 		short        = flag.Bool("short", false, "shrink the harness measurement for CI smoke runs")
 		gate         = flag.Bool("gate", false, "trend-gate mode: measure only the hot-path microbenchmarks, diff against the committed history, exit 1 on regression")
-		history      = flag.String("gate-history", "BENCH_2.json,BENCH_3.json,BENCH_4.json,BENCH_5.json,BENCH_6.json,BENCH_7.json,BENCH_8.json,BENCH_9.json,BENCH_10.json", "comma-separated committed reports the gate diffs against")
+		history      = flag.String("gate-history", "BENCH_2.json,BENCH_3.json,BENCH_4.json,BENCH_5.json,BENCH_6.json,BENCH_7.json,BENCH_8.json,BENCH_9.json,BENCH_10.json,BENCH_12.json", "comma-separated committed reports the gate diffs against")
 		gateSlack    = flag.Float64("gate-slack", 1.25, "allowed growth factor over the worst committed ratio before the gate fails")
 		gateSlowdown = flag.Float64("gate-slowdown", 1, "multiply the measured des hot-path nanoseconds (self-test hook: 2 must fail the gate)")
 	)
@@ -241,7 +244,7 @@ func main() {
 	}
 
 	rep := Report{
-		Schema:     "conscale-bench/10",
+		Schema:     "conscale-bench/12",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Short:      *short,
@@ -280,6 +283,8 @@ func main() {
 	}
 	rep.Derived["admission_admit_allocs_per_op"] = admitAllocs
 	rep.Derived["admission_codel_ns_per_op"] = byName["admission/codel_admit_observe"].NsPerOp
+	rep.Derived["request_lifecycle_allocs_per_op"] = float64(byName["request/lifecycle"].AllocsPerOp)
+	rep.Derived["request_lifecycle_ns_per_op"] = byName["request/lifecycle"].NsPerOp
 	runEndToEnd(&rep, *short, *out)
 }
 
@@ -760,7 +765,41 @@ func microBenches() []Result {
 			}
 		}),
 	)
+	fmt.Println("== request lifecycle (one bare request end to end must stay 0 allocs/op)")
+	results = append(results, measure("request/lifecycle", benchRequestLifecycle))
 	return results
+}
+
+// benchRequestLifecycle is the root package's BenchmarkSimulatorEventRate:
+// bare RUBBoS requests through a default 1/1/1 cluster, submitted in
+// batches of 1024 and run to completion. A warm-up fills the request
+// free list, the queues and the event heap first, so allocs/op is the
+// lifecycle's steady state.
+func benchRequestLifecycle(b *testing.B) {
+	b.ReportAllocs()
+	c := cluster.New(cluster.DefaultConfig())
+	completed := 0
+	done := func(ok bool) {
+		if ok {
+			completed++
+		}
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			c.Submit(done)
+			if i%1024 == 1023 {
+				c.Eng.Run()
+			}
+		}
+		c.Eng.Run()
+	}
+	run(4096)
+	completed = 0
+	b.ResetTimer()
+	run(b.N)
+	if completed == 0 {
+		b.Fatal("no requests completed")
+	}
 }
 
 // runEndToEnd performs the end-to-end measurements (harness fan-out,
@@ -910,6 +949,10 @@ func runEndToEnd(rep *Report, short bool, out string) {
 	}
 	if rep.Derived["admission_admit_allocs_per_op"] != 0 {
 		fmt.Fprintln(os.Stderr, "FAIL: admission Admit hot path allocates")
+		os.Exit(1)
+	}
+	if rep.Derived["request_lifecycle_allocs_per_op"] != 0 {
+		fmt.Fprintln(os.Stderr, "FAIL: request lifecycle allocates")
 		os.Exit(1)
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// repoHistory loads the committed BENCH_2..10 trajectory from the repo
+// repoHistory loads the committed BENCH_2..12 trajectory from the repo
 // root (the test binary runs in cmd/benchreport).
 func repoHistory(t *testing.T) []historyReport {
 	t.Helper()
-	paths := make([]string, 0, 9)
-	for _, f := range []string{"BENCH_2.json", "BENCH_3.json", "BENCH_4.json", "BENCH_5.json", "BENCH_6.json", "BENCH_7.json", "BENCH_8.json", "BENCH_9.json", "BENCH_10.json"} {
+	paths := make([]string, 0, 10)
+	for _, f := range []string{"BENCH_2.json", "BENCH_3.json", "BENCH_4.json", "BENCH_5.json", "BENCH_6.json", "BENCH_7.json", "BENCH_8.json", "BENCH_9.json", "BENCH_10.json", "BENCH_12.json"} {
 		paths = append(paths, filepath.Join("..", "..", f))
 	}
 	history, err := loadHistory(paths)
@@ -95,6 +95,45 @@ func TestGateIgnoresSlowMachines(t *testing.T) {
 	}
 	if v := gateCheck(current, history, 1.25); len(v) != 0 {
 		t.Fatalf("uniformly slower machine failed the gate: %v", v)
+	}
+}
+
+// withoutLifecycle is a committed trajectory no report of which knows
+// request/lifecycle, with the newest point's measurements plus a
+// request/lifecycle entry of the given allocs/op as the current run.
+func withoutLifecycle(t *testing.T, allocs int64) (current []Result, history []historyReport) {
+	t.Helper()
+	for _, h := range repoHistory(t) {
+		var kept []Result
+		for _, r := range h.Benchmarks {
+			if r.Name != "request/lifecycle" {
+				kept = append(kept, r)
+			}
+		}
+		h.Benchmarks = kept
+		history = append(history, h)
+	}
+	current = append(current, history[len(history)-1].Benchmarks...)
+	current = append(current, Result{Name: "request/lifecycle", NsPerOp: 3500, AllocsPerOp: allocs})
+	return current, history
+}
+
+// TestGateAcceptsEntryWithoutHistory: a benchmark and gate pair that no
+// committed report holds yet pass the ratio and growth rules.
+func TestGateAcceptsEntryWithoutHistory(t *testing.T) {
+	current, history := withoutLifecycle(t, 0)
+	if v := gateCheck(current, history, 1.25); len(v) != 0 {
+		t.Fatalf("new zero-alloc lifecycle entry failed the gate: %v", v)
+	}
+}
+
+// TestGateLifecycleAllocBudget: the request lifecycle's zero-allocation
+// budget fails the gate even with no committed history to compare to.
+func TestGateLifecycleAllocBudget(t *testing.T) {
+	current, history := withoutLifecycle(t, 1)
+	v := gateCheck(current, history, 1.25)
+	if len(v) != 1 || !strings.Contains(v[0], "request/lifecycle") {
+		t.Fatalf("want one request/lifecycle budget violation, got %v", v)
 	}
 }
 

@@ -200,6 +200,18 @@ type Cluster struct {
 	// out to every server (forensics tap).
 	admission map[Tier]admission.Config
 	onShed    func(now des.Time, t Tier, class admission.Class)
+
+	// reqs is the request free list every request of this cluster is
+	// drawn from. The cluster runs on one engine (one striper shard), so
+	// the list is never shared between goroutines.
+	reqs *server.RequestPool
+
+	// programs is the current workload's visit-program set; programSets
+	// keeps every set built (see programs.go). lookup is the app->cache
+	// call every cache-tier query makes.
+	programs    *programSet
+	programSets []*programSet
+	lookup      server.OutCall
 }
 
 // New builds the initial topology on a fresh engine (or on cfg.Engine
@@ -233,7 +245,9 @@ func New(cfg Config) *Cluster {
 		netDelay:     make(map[Tier]des.Time),
 		bootFactor:   1,
 		admission:    make(map[Tier]admission.Config),
+		reqs:         server.NewRequestPool(eng),
 	}
+	c.lookup = server.OutCall{Target: c.cacheLB, Phases: cacheProgram}
 	for t, acfg := range cfg.Admission {
 		if _, err := admission.New(acfg); err != nil {
 			panic(fmt.Sprintf("cluster: tier %s: %v", t, err))
@@ -257,6 +271,7 @@ func New(cfg Config) *Cluster {
 			c.boot(Cache)
 		}
 	}
+	c.newPrograms(c.wl)
 	return c
 }
 
@@ -271,12 +286,14 @@ func (c *Cluster) Workload() *rubbos.Workload { return c.wl }
 // new dataset size.
 func (c *Cluster) SetDatasetScale(scale float64) {
 	c.wl = rubbos.NewWorkload(c.cfg.Mix, scale)
+	c.newPrograms(c.wl)
 }
 
 // SetMix switches the workload mode mid-run (paper Section III-C.3).
 func (c *Cluster) SetMix(mix rubbos.Mix) {
 	c.cfg.Mix = mix
 	c.wl = rubbos.NewWorkload(mix, c.wl.DatasetScale)
+	c.newPrograms(c.wl)
 }
 
 // boot creates a VM immediately (initial topology, before the run starts).
@@ -295,6 +312,7 @@ func (c *Cluster) newVM(t Tier) *vm {
 		AcceptQueue: c.cfg.AcceptQueue,
 		DemandCV:    c.cfg.DemandCV,
 		Window:      c.cfg.Window,
+		Requests:    c.reqs,
 	}
 	switch t {
 	case Web:
@@ -306,6 +324,11 @@ func (c *Cluster) newVM(t Tier) *vm {
 		cfg.ThreadLimit = c.appThreads
 		cfg.Overhead = c.cfg.AppOverhead
 	case Cache:
+		if c.counter[Cache] == 1 && c.programs != nil {
+			// The first cache VM of a cluster built without one: the app
+			// visits need their cache-hit variants before it serves.
+			c.rebuildApps()
+		}
 		cores := c.cfg.CacheCores
 		if cores <= 0 {
 			cores = 1
@@ -622,125 +645,28 @@ func (c *Cluster) SetTracer(t *trace.Tracer) { c.tracer = t }
 func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 
 // Submit issues one end-to-end client request (a workload.Submitter).
+// The request comes from the cluster's free list and returns to it once
+// done has been called.
 func (c *Cluster) Submit(done func(ok bool)) {
-	sv := c.wl.Pick(c.rnd)
-	root := c.tracer.StartRequest(sv.Name, c.Eng.Now())
+	p := &c.programs.progs[c.wl.PickIndex(c.rnd)]
+	now := c.Eng.Now()
+	root := c.tracer.StartRequest(p.sv.Name, now)
+	req := c.reqs.Get()
+	req.Phases = p.web
+	req.Done = done
+	req.Span = root
 	if root != nil {
-		inner := done
-		done = func(ok bool) {
-			c.tracer.EndRequest(root, c.Eng.Now(), ok)
-			inner(ok)
-		}
+		req.Tracer = c.tracer
 	}
-	class := admission.ClassBrowse
-	if sv.Write {
-		class = admission.ClassReadWrite
-	}
-	req := &server.Request{
-		Phases: c.webPhases(sv),
-		Done:   done,
-		Span:   root,
-		Class:  class,
-	}
+	req.Class = p.class
 	if d := c.netDelay[Web]; d > 0 {
 		// Jitter on the client->web edge: the request transits the slow
 		// network before reaching the web balancer.
-		now := c.Eng.Now()
 		root.AddSeg(trace.SegNet, now, now+d)
-		c.Eng.After(d, func() { c.webLB.Submit(req) })
+		req.SubmitAfter(d, c.webLB)
 		return
 	}
 	c.webLB.Submit(req)
-}
-
-// webPhases builds the web tier visit: static processing then the
-// synchronous call into the app tier. Injected edge delay dwells on the
-// calling thread, like every network wait in the thread-based RPC model.
-func (c *Cluster) webPhases(sv *rubbos.Servlet) []server.Phase {
-	phases := []server.Phase{
-		{Kind: server.PhaseCPU, Duration: des.Time(sv.WebCPU)},
-	}
-	if d := c.netDelay[App]; d > 0 {
-		phases = append(phases, server.Phase{Kind: server.PhaseNet, Duration: d})
-	}
-	return append(phases, server.Phase{Kind: server.PhaseCall, Call: &server.OutCall{
-		Target: c.appLB,
-		Build:  func() []server.Phase { return c.appPhases(sv) },
-	}})
-}
-
-// appPhases builds the app tier visit: business-logic CPU slices
-// interleaved with synchronous DB queries gated by the server's own
-// connection pool.
-func (c *Cluster) appPhases(sv *rubbos.Servlet) []server.Phase {
-	q := sv.Queries
-	slice := des.Time(sv.AppCPU / float64(q+1))
-	halfWait := des.Time(sv.AppWait / 2)
-	phases := make([]server.Phase, 0, 2*q+4)
-	phases = append(phases,
-		server.Phase{Kind: server.PhaseSleep, Duration: halfWait},
-		server.Phase{Kind: server.PhaseCPU, Duration: slice},
-	)
-	for i := 0; i < q; i++ {
-		phases = append(phases, c.queryPhases(sv)...)
-		phases = append(phases, server.Phase{Kind: server.PhaseCPU, Duration: slice})
-	}
-	return append(phases, server.Phase{Kind: server.PhaseSleep, Duration: halfWait})
-}
-
-// queryPhases builds one logical DB query from the app tier's point of
-// view. Without a cache tier it is a single synchronous DB call gated by
-// the server's connection pool. With a cache tier, the query first looks
-// up Memcached; only misses (and all writes, which must reach the DB)
-// continue to the DB call.
-func (c *Cluster) queryPhases(sv *rubbos.Servlet) []server.Phase {
-	var dbEdge []server.Phase
-	if d := c.netDelay[DB]; d > 0 {
-		dbEdge = []server.Phase{{Kind: server.PhaseNet, Duration: d}}
-	}
-	dbCall := server.Phase{Kind: server.PhaseCall, Call: &server.OutCall{
-		Target:        c.dbLB,
-		UseServerPool: true,
-		Build:         func() []server.Phase { return c.dbPhases(sv) },
-	}}
-	if c.cacheLB.Len() == 0 {
-		return append(dbEdge, dbCall)
-	}
-	var cacheEdge []server.Phase
-	if d := c.netDelay[Cache]; d > 0 {
-		cacheEdge = []server.Phase{{Kind: server.PhaseNet, Duration: d}}
-	}
-	lookup := server.Phase{Kind: server.PhaseCall, Call: &server.OutCall{
-		Target: c.cacheLB,
-		Build:  func() []server.Phase { return cachePhases() },
-	}}
-	if !sv.Write && c.rnd.Float64() < c.cfg.CacheHitRatio {
-		return append(cacheEdge, lookup) // cache hit serves the query
-	}
-	return append(append(append(cacheEdge, lookup), dbEdge...), dbCall)
-}
-
-// cachePhases is one Memcached lookup: sub-millisecond CPU plus network
-// dwell.
-func cachePhases() []server.Phase {
-	return []server.Phase{
-		{Kind: server.PhaseSleep, Duration: 0.0002},
-		{Kind: server.PhaseCPU, Duration: 0.00006},
-	}
-}
-
-// dbPhases builds one DB query visit: protocol dwell around the CPU work,
-// plus disk I/O for write/scan queries.
-func (c *Cluster) dbPhases(sv *rubbos.Servlet) []server.Phase {
-	halfWait := des.Time(sv.QueryWait / 2)
-	phases := []server.Phase{
-		{Kind: server.PhaseSleep, Duration: halfWait},
-		{Kind: server.PhaseCPU, Duration: des.Time(sv.QueryCPU)},
-	}
-	if sv.QueryDisk > 0 {
-		phases = append(phases, server.Phase{Kind: server.PhaseDisk, Duration: des.Time(sv.QueryDisk)})
-	}
-	return append(phases, server.Phase{Kind: server.PhaseSleep, Duration: halfWait})
 }
 
 // KillVM abruptly terminates a tier's most recently added ready VM
@@ -824,6 +750,14 @@ func (c *Cluster) SetNetDelay(t Tier, d des.Time) {
 		d = 0
 	}
 	c.netDelay[t] = d
+	switch t {
+	case App:
+		for i := range c.programs.progs {
+			c.buildWeb(&c.programs.progs[i])
+		}
+	case DB, Cache:
+		c.rebuildApps()
+	}
 }
 
 // NetDelay returns the currently injected latency on the edge into the tier.

@@ -122,26 +122,19 @@ func (b *Balancer) InFlight(name string) int {
 func (b *Balancer) Stats() (total, rejected uint64) { return b.total, b.rejected }
 
 // Submit implements server.Service: it picks a backend per the policy and
-// forwards the request, tracking per-backend in-flight counts for
-// leastconn. With no backends the request fails immediately.
+// forwards the request, which holds one of the backend's in-flight count
+// (the leastconn signal) until it completes. With no backends the request
+// fails immediately.
 func (b *Balancer) Submit(req *server.Request) {
 	b.total++
 	be := b.pick()
 	if be == nil {
 		b.rejected++
-		done := req.Done
-		req.Done = nil
-		done(false)
+		req.Complete(false)
 		return
 	}
 	req.Span.NotePick(b.name, be.inFlight)
-	be.inFlight++
-	inner := req.Done
-	req.Done = nil
-	req.Done = func(ok bool) {
-		be.inFlight--
-		inner(ok)
-	}
+	req.CountIn(&be.inFlight)
 	be.svc.Submit(req)
 }
 

@@ -21,7 +21,7 @@ func (f *fakeService) Submit(req *server.Request) {
 func (f *fakeService) completeOne(ok bool) {
 	req := f.pending[0]
 	f.pending = f.pending[1:]
-	req.Done(ok)
+	req.Complete(ok)
 }
 
 func newReq(results *[]bool) *server.Request {

@@ -220,7 +220,13 @@ func applyDatasetScale(servlets []Servlet, scale float64) {
 
 // Pick samples a servlet according to the mix weights.
 func (w *Workload) Pick(rnd *rng.Source) *Servlet {
-	return &w.Servlets[rnd.Pick(w.weights)]
+	return &w.Servlets[w.PickIndex(rnd)]
+}
+
+// PickIndex samples a servlet like Pick and returns its index in
+// Servlets, for callers that keep per-servlet tables.
+func (w *Workload) PickIndex(rnd *rng.Source) int {
+	return rnd.Pick(w.weights)
 }
 
 // MeanDemand summarises the mix-level expected demands; tests use it to

@@ -19,15 +19,10 @@ type ProcPool struct {
 	eng      *des.Engine
 	channels int
 	busy     int
-	queue    []burst
+	queue    requestQueue
 	util     *metrics.TimeWeighted
 
 	totalBusy float64 // accumulated busy-channel-seconds (for tests)
-}
-
-type burst struct {
-	duration des.Time
-	done     func()
 }
 
 // NewProcPool returns a pool with the given number of channels, reporting
@@ -58,30 +53,38 @@ func (p *ProcPool) SetChannels(n int) {
 	p.meter()
 }
 
-// Demand requests a burst of d seconds of service; done fires when the
-// burst completes. Zero-duration bursts complete on the next event.
-func (p *ProcPool) Demand(d des.Time, done func()) {
+// Demand queues a burst of d seconds of service for req. When the burst
+// completes, req steps to its next phase on its server — or, for a
+// request outside any server, completes OK. A request has at most one
+// burst outstanding. Zero-duration bursts complete on the next event.
+func (p *ProcPool) Demand(d des.Time, req *Request) {
 	if d < 0 {
 		panic("server: negative demand")
 	}
-	p.queue = append(p.queue, burst{duration: d, done: done})
+	req.bind()
+	req.proc = p
+	req.burst = d
+	p.queue.push(req)
 	p.dispatch()
 }
 
 func (p *ProcPool) dispatch() {
-	for p.busy < p.channels && len(p.queue) > 0 {
-		b := p.queue[0]
-		p.queue = p.queue[1:]
+	for p.busy < p.channels && p.queue.len() > 0 {
+		req := p.queue.pop()
 		p.busy++
 		p.meter()
-		p.totalBusy += float64(b.duration)
-		p.eng.After(b.duration, func() {
-			p.busy--
-			p.meter()
-			b.done()
-			p.dispatch()
-		})
+		p.totalBusy += float64(req.burst)
+		p.eng.After(req.burst, req.burstFn)
 	}
+}
+
+// complete ends req's burst: the channel frees, req continues, and the
+// next queued burst starts.
+func (p *ProcPool) complete(req *Request) {
+	p.busy--
+	p.meter()
+	req.afterBurst(p.eng.Now())
+	p.dispatch()
 }
 
 func (p *ProcPool) meter() {
@@ -100,7 +103,7 @@ func (p *ProcPool) Utilization() float64 { return p.util.WindowMean(p.eng.Now())
 func (p *ProcPool) FlushUtil() []metrics.TWSample { return p.util.Flush(p.eng.Now()) }
 
 // QueueLen returns the number of waiting bursts (diagnostics).
-func (p *ProcPool) QueueLen() int { return len(p.queue) }
+func (p *ProcPool) QueueLen() int { return p.queue.len() }
 
 // Busy returns the number of busy channels.
 func (p *ProcPool) Busy() int { return p.busy }
@@ -114,7 +117,7 @@ func (p *ProcPool) TotalBusySeconds() float64 { return p.totalBusy }
 type ConnPool struct {
 	limit   int
 	inUse   int
-	waiters []func()
+	waiters requestQueue
 }
 
 // NewConnPool returns a pool with the given size.
@@ -132,7 +135,7 @@ func (c *ConnPool) Limit() int { return c.limit }
 func (c *ConnPool) InUse() int { return c.inUse }
 
 // Waiting returns the number of queued acquirers.
-func (c *ConnPool) Waiting() int { return len(c.waiters) }
+func (c *ConnPool) Waiting() int { return c.waiters.len() }
 
 // SetLimit resizes the pool at runtime. Growth admits waiters immediately;
 // shrinkage takes effect as connections are released.
@@ -144,10 +147,12 @@ func (c *ConnPool) SetLimit(n int) {
 	c.admit()
 }
 
-// Acquire grants a connection to fn, immediately if one is free, otherwise
-// when a holder releases. fn must eventually lead to a Release call.
-func (c *ConnPool) Acquire(fn func()) {
-	c.waiters = append(c.waiters, fn)
+// Acquire grants a connection to req, immediately if one is free,
+// otherwise when a holder releases. On the grant req issues its pending
+// downstream call, whose completion releases the connection; a request
+// outside any server completes OK instead and must Release itself.
+func (c *ConnPool) Acquire(req *Request) {
+	c.waiters.push(req)
 	c.admit()
 }
 
@@ -161,11 +166,10 @@ func (c *ConnPool) Release() {
 }
 
 func (c *ConnPool) admit() {
-	for c.inUse < c.limit && len(c.waiters) > 0 {
-		fn := c.waiters[0]
-		c.waiters = c.waiters[1:]
+	for c.inUse < c.limit && c.waiters.len() > 0 {
+		req := c.waiters.pop()
 		c.inUse++
-		fn()
+		req.granted()
 	}
 }
 

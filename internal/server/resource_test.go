@@ -8,6 +8,13 @@ import (
 	"conscale/internal/des"
 )
 
+// onDone returns a bare pool client: a request outside any server, which
+// completes — running fn — when its burst ends or its connection is
+// granted.
+func onDone(fn func()) *Request {
+	return &Request{Done: func(bool) { fn() }}
+}
+
 func TestProcPoolSingleChannelFCFS(t *testing.T) {
 	eng := des.New()
 	p := NewProcPool(eng, 1, des.Second)
@@ -15,10 +22,10 @@ func TestProcPoolSingleChannelFCFS(t *testing.T) {
 	var ends []des.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		p.Demand(1, func() {
+		p.Demand(1, onDone(func() {
 			order = append(order, i)
 			ends = append(ends, eng.Now())
-		})
+		}))
 	}
 	eng.Run()
 	for i, v := range order {
@@ -39,7 +46,7 @@ func TestProcPoolParallelChannels(t *testing.T) {
 	p := NewProcPool(eng, 2, des.Second)
 	var ends []des.Time
 	for i := 0; i < 4; i++ {
-		p.Demand(1, func() { ends = append(ends, eng.Now()) })
+		p.Demand(1, onDone(func() { ends = append(ends, eng.Now()) }))
 	}
 	eng.Run()
 	want := []des.Time{1, 1, 2, 2}
@@ -59,11 +66,11 @@ func TestProcPoolBusyNeverExceedsChannels(t *testing.T) {
 		if n == 0 {
 			return
 		}
-		p.Demand(0.5, func() {
+		p.Demand(0.5, onDone(func() {
 			if p.Busy() > maxBusy {
 				maxBusy = p.Busy()
 			}
-		})
+		}))
 		submit(n - 1)
 	}
 	submit(20)
@@ -78,7 +85,7 @@ func TestProcPoolSetChannelsGrowDispatches(t *testing.T) {
 	p := NewProcPool(eng, 1, des.Second)
 	var ends []des.Time
 	for i := 0; i < 2; i++ {
-		p.Demand(1, func() { ends = append(ends, eng.Now()) })
+		p.Demand(1, onDone(func() { ends = append(ends, eng.Now()) }))
 	}
 	eng.At(0.5, func() { p.SetChannels(2) })
 	eng.Run()
@@ -92,7 +99,7 @@ func TestProcPoolZeroDemand(t *testing.T) {
 	eng := des.New()
 	p := NewProcPool(eng, 1, des.Second)
 	fired := false
-	p.Demand(0, func() { fired = true })
+	p.Demand(0, onDone(func() { fired = true }))
 	eng.Run()
 	if !fired {
 		t.Fatal("zero-duration burst never completed")
@@ -105,13 +112,13 @@ func TestProcPoolNegativeDemandPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewProcPool(des.New(), 1, des.Second).Demand(-1, func() {})
+	NewProcPool(des.New(), 1, des.Second).Demand(-1, onDone(func() {}))
 }
 
 func TestProcPoolUtilization(t *testing.T) {
 	eng := des.New()
 	p := NewProcPool(eng, 2, des.Second)
-	p.Demand(0.5, func() {}) // one of two channels busy for 0.5s
+	p.Demand(0.5, onDone(func() {})) // one of two channels busy for 0.5s
 	eng.Run()
 	eng.RunUntil(1)
 	samples := p.FlushUtil()
@@ -126,8 +133,8 @@ func TestProcPoolUtilization(t *testing.T) {
 func TestProcPoolTotalBusySeconds(t *testing.T) {
 	eng := des.New()
 	p := NewProcPool(eng, 2, des.Second)
-	p.Demand(1, func() {})
-	p.Demand(2, func() {})
+	p.Demand(1, onDone(func() {}))
+	p.Demand(2, onDone(func() {}))
 	eng.Run()
 	if math.Abs(p.TotalBusySeconds()-3) > 1e-9 {
 		t.Fatalf("TotalBusySeconds = %v, want 3", p.TotalBusySeconds())
@@ -139,12 +146,12 @@ func TestConnPoolLimitsConcurrency(t *testing.T) {
 	held := 0
 	maxHeld := 0
 	for i := 0; i < 5; i++ {
-		c.Acquire(func() {
+		c.Acquire(onDone(func() {
 			held++
 			if held > maxHeld {
 				maxHeld = held
 			}
-		})
+		}))
 	}
 	if maxHeld != 2 {
 		t.Fatalf("maxHeld = %d, want 2", maxHeld)
@@ -164,7 +171,7 @@ func TestConnPoolFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		c.Acquire(func() { order = append(order, i) })
+		c.Acquire(onDone(func() { order = append(order, i) }))
 	}
 	for i := 0; i < 3; i++ {
 		c.Release()
@@ -180,7 +187,7 @@ func TestConnPoolSetLimitGrowAdmits(t *testing.T) {
 	c := NewConnPool(1)
 	admitted := 0
 	for i := 0; i < 3; i++ {
-		c.Acquire(func() { admitted++ })
+		c.Acquire(onDone(func() { admitted++ }))
 	}
 	if admitted != 1 {
 		t.Fatalf("admitted = %d", admitted)
@@ -194,7 +201,7 @@ func TestConnPoolSetLimitGrowAdmits(t *testing.T) {
 func TestConnPoolSetLimitShrinkLazy(t *testing.T) {
 	c := NewConnPool(3)
 	for i := 0; i < 3; i++ {
-		c.Acquire(func() {})
+		c.Acquire(onDone(func() {}))
 	}
 	c.SetLimit(1)
 	if c.InUse() != 3 {
@@ -203,7 +210,7 @@ func TestConnPoolSetLimitShrinkLazy(t *testing.T) {
 	c.Release()
 	c.Release()
 	admitted := false
-	c.Acquire(func() { admitted = true })
+	c.Acquire(onDone(func() { admitted = true }))
 	if admitted {
 		t.Fatal("admitted above shrunk limit")
 	}
@@ -269,7 +276,7 @@ func TestQuickConnPoolInvariant(t *testing.T) {
 		outstanding := 0
 		for _, acquire := range ops {
 			if acquire || outstanding == 0 {
-				c.Acquire(func() {})
+				c.Acquire(onDone(func() {}))
 				outstanding++
 			} else if c.InUse() > 0 {
 				c.Release()

@@ -17,32 +17,8 @@ func mathPow(a, b float64) float64 { return math.Pow(a, b) }
 // so any tier can sit behind a balancer transparently.
 type Service interface {
 	// Submit delivers a request. The service must eventually call
-	// req.Done exactly once.
+	// req.Complete exactly once, and must not touch req afterwards.
 	Submit(req *Request)
-}
-
-// Request is one unit of work travelling through a tier. Done is invoked
-// exactly once with the outcome; OK is false when the request was rejected
-// (accept-queue overflow) or failed downstream.
-type Request struct {
-	// Phases is the visit program executed while holding a server thread.
-	Phases []Phase
-	// Done receives the outcome.
-	Done func(ok bool)
-	// Span is the request's trace span (nil on unsampled requests — the
-	// common case; every span hook is a no-op then).
-	Span *trace.Span
-	// Class is the admission class (browse vs read-write), propagated
-	// down the call tree so every tier's policy sees it.
-	Class admission.Class
-	// Shed is set when this request — or any downstream call it made —
-	// was dropped by an admission policy rather than failing for another
-	// reason.
-	Shed bool
-
-	arrival des.Time
-	phase   int
-	failed  bool
 }
 
 // PhaseKind enumerates the step types of a visit program.
@@ -79,9 +55,10 @@ type OutCall struct {
 	Target        Service
 	Pool          *ConnPool
 	UseServerPool bool
-	// Build produces the downstream request's phases at call time, so
-	// per-request randomness stays with the originating request.
-	Build func() []Phase
+	// Phases is the downstream visit program, read when the call is
+	// issued. A Target may still replace it on the request it receives
+	// (the cluster's app entry picks a cache-hit variant that way).
+	Phases []Phase
 }
 
 // Config holds a server's static and soft-resource configuration.
@@ -95,6 +72,9 @@ type Config struct {
 	DemandCV    float64  // lognormal sigma for per-burst demand jitter (0 = deterministic)
 	Window      des.Time // fine-grained measurement window (0 = 50 ms)
 	UtilWindow  des.Time // CPU utilization window (0 = 1 s)
+	// Requests is the free list downstream calls are drawn from (nil =
+	// allocate every call; a cluster shares one list across its VMs).
+	Requests *RequestPool
 }
 
 // Server is one component server (VM) of the n-tier system.
@@ -108,8 +88,9 @@ type Server struct {
 
 	threadLimit int
 	active      int
-	accept      []*Request
+	accept      requestQueue
 	acceptCap   int
+	reqs        *RequestPool
 
 	overhead Overhead
 	demandCV float64
@@ -168,6 +149,7 @@ func New(eng *des.Engine, rnd *rng.Source, cfg Config) *Server {
 		demandCV:    cfg.DemandCV,
 		cpuSlowdown: 1,
 		rec:         metrics.NewRecorder(window),
+		reqs:        cfg.Requests,
 	}
 	if cfg.DiskChans > 0 {
 		s.disk = NewProcPool(eng, cfg.DiskChans, utilWindow)
@@ -218,7 +200,7 @@ func (s *Server) SetThreadLimit(n int) {
 func (s *Server) Active() int { return s.active }
 
 // QueueLen returns the accept-queue length.
-func (s *Server) QueueLen() int { return len(s.accept) }
+func (s *Server) QueueLen() int { return s.accept.len() }
 
 // CPUUtilization returns the running 1-second CPU utilization (0..1).
 func (s *Server) CPUUtilization() float64 { return s.cpu.Utilization() }
@@ -261,16 +243,13 @@ func (s *Server) Draining() bool { return s.draining }
 func (s *Server) Kill() {
 	s.draining = true
 	s.killed = true
-	queued := s.accept
-	s.accept = nil
 	now := s.eng.Now()
-	for _, req := range queued {
+	for s.accept.len() > 0 {
+		req := s.accept.pop()
 		s.rec.Reject(now)
 		s.tel.Rejects.Inc()
 		req.Span.Finish(now, trace.OutcomeFailed)
-		done := req.Done
-		req.Done = nil
-		s.eng.After(0, func() { done(false) })
+		s.eng.After(0, req.failFn)
 	}
 }
 
@@ -308,17 +287,16 @@ func (s *Server) ShedTotal() uint64 {
 
 // Submit implements Service.
 func (s *Server) Submit(req *Request) {
-	if s.draining || len(s.accept) >= s.acceptCap {
+	req.bind()
+	if s.draining || s.accept.len() >= s.acceptCap {
 		// Reject before entering the request log's in-flight accounting;
 		// the error still counts in this window.
 		s.rec.Reject(s.eng.Now())
 		s.tel.Rejects.Inc()
 		req.Span.Finish(s.eng.Now(), trace.OutcomeRejected)
-		done := req.Done
-		req.Done = nil
 		// Deliver the failure asynchronously so callers never observe
 		// reentrant completion.
-		s.eng.After(0, func() { done(false) })
+		s.eng.After(0, req.failFn)
 		return
 	}
 	if s.adm != nil {
@@ -326,7 +304,7 @@ func (s *Server) Submit(req *Request) {
 		// admit. A shed fails the request immediately without consuming
 		// any server resource; the meter sees every decision.
 		now := s.eng.Now()
-		ok := s.adm.Admit(now, req.Class, len(s.accept))
+		ok := s.adm.Admit(now, req.Class, s.accept.len())
 		s.admMeter.Observe(now, req.Class, !ok)
 		if !ok {
 			s.sheds[req.Class]++
@@ -338,22 +316,20 @@ func (s *Server) Submit(req *Request) {
 			if s.onShed != nil {
 				s.onShed(now, req.Class)
 			}
-			done := req.Done
-			req.Done = nil
-			s.eng.After(0, func() { done(false) })
+			s.eng.After(0, req.failFn)
 			return
 		}
 	}
+	req.srv = s
 	req.arrival = s.eng.Now()
 	req.Span.EnterServer(s.name, req.arrival)
-	s.accept = append(s.accept, req)
+	s.accept.push(req)
 	s.admit()
 }
 
 func (s *Server) admit() {
-	for s.active < s.threadLimit && len(s.accept) > 0 {
-		req := s.accept[0]
-		s.accept = s.accept[1:]
+	for s.active < s.threadLimit && s.accept.len() > 0 {
+		req := s.accept.pop()
 		s.active++
 		// The request log counts *processing* concurrency (requests
 		// holding threads), matching the paper's SCT tuples; accept-queue
@@ -372,7 +348,9 @@ func (s *Server) admit() {
 }
 
 // step advances a request to its next phase; when phases are exhausted the
-// request completes and its thread is released.
+// request completes and its thread is released. Every suspension resumes
+// here through a continuation bound on the request: the burst end of a
+// CPU or disk demand, the end of a dwell, or the completion of a call.
 func (s *Server) step(req *Request) {
 	if s.killed {
 		req.failed = true
@@ -386,29 +364,17 @@ func (s *Server) step(req *Request) {
 	switch ph.Kind {
 	case PhaseCPU:
 		d := s.jitter(ph.Duration) * des.Time(s.overhead.Factor(s.active, s.cpu.Channels())*s.cpuSlowdown)
-		if sp := req.Span; sp != nil {
-			t0 := s.eng.Now()
-			s.cpu.Demand(d, func() {
-				sp.AddProc(trace.SegCPUWait, trace.SegCPU, t0, d, s.eng.Now())
-				s.step(req)
-			})
-			return
-		}
-		s.cpu.Demand(d, func() { s.step(req) })
+		req.t0 = s.eng.Now()
+		req.waitKind, req.svcKind = trace.SegCPUWait, trace.SegCPU
+		s.cpu.Demand(d, req)
 	case PhaseDisk:
 		if s.disk == nil {
 			panic(fmt.Sprintf("server %s: disk phase without a disk", s.name))
 		}
 		d := s.jitter(ph.Duration)
-		if sp := req.Span; sp != nil {
-			t0 := s.eng.Now()
-			s.disk.Demand(d, func() {
-				sp.AddProc(trace.SegDiskWait, trace.SegDisk, t0, d, s.eng.Now())
-				s.step(req)
-			})
-			return
-		}
-		s.disk.Demand(d, func() { s.step(req) })
+		req.t0 = s.eng.Now()
+		req.waitKind, req.svcKind = trace.SegDiskWait, trace.SegDisk
+		s.disk.Demand(d, req)
 	case PhaseSleep, PhaseNet:
 		d := s.jitter(ph.Duration)
 		if sp := req.Span; sp != nil {
@@ -418,7 +384,7 @@ func (s *Server) step(req *Request) {
 			}
 			sp.AddSeg(kind, s.eng.Now(), s.eng.Now()+d)
 		}
-		s.eng.After(d, func() { s.step(req) })
+		s.eng.After(d, req.stepFn)
 	case PhaseCall:
 		s.call(req, ph.Call)
 	default:
@@ -426,46 +392,42 @@ func (s *Server) step(req *Request) {
 	}
 }
 
+// call starts a synchronous downstream call, first waiting for a
+// connection when the call is pooled.
 func (s *Server) call(req *Request, out *OutCall) {
 	pool := out.Pool
 	if out.UseServerPool {
 		pool = s.callPool
 	}
-	sp := req.Span
-	t0 := s.eng.Now()
-	issue := func() {
-		var child *trace.Span
-		if sp != nil {
-			now := s.eng.Now()
-			if pool != nil {
-				sp.AddSeg(trace.SegPoolWait, t0, now)
-			}
-			child = sp.StartChild(now)
-		}
-		down := &Request{
-			Phases: out.Build(),
-			Span:   child,
-			Class:  req.Class,
-		}
-		down.Done = func(ok bool) {
-			if pool != nil {
-				pool.Release()
-			}
-			if !ok {
-				req.failed = true
-				if down.Shed {
-					req.Shed = true
-				}
-			}
-			s.step(req)
-		}
-		out.Target.Submit(down)
-	}
+	req.out = out
+	req.outPool = pool
+	req.t0 = s.eng.Now()
 	if pool != nil {
-		pool.Acquire(issue)
-	} else {
-		issue()
+		pool.Acquire(req)
+		return
 	}
+	s.issue(req)
+}
+
+// issue sends req's pending call downstream as a pooled child request,
+// whose completion releases the connection and resumes req here.
+func (s *Server) issue(req *Request) {
+	out, pool := req.out, req.outPool
+	var child *trace.Span
+	if sp := req.Span; sp != nil {
+		now := s.eng.Now()
+		if pool != nil {
+			sp.AddSeg(trace.SegPoolWait, req.t0, now)
+		}
+		child = sp.StartChild(now)
+	}
+	down := s.reqs.Get()
+	down.Phases = out.Phases
+	down.Span = child
+	down.Class = req.Class
+	down.parent = req
+	down.conn = pool
+	out.Target.Submit(down)
 }
 
 func (s *Server) finish(req *Request) {
@@ -480,9 +442,7 @@ func (s *Server) finish(req *Request) {
 		s.tel.RT.Observe(float64(now - req.arrival))
 		req.Span.Finish(now, trace.OutcomeOK)
 	}
-	done := req.Done
-	req.Done = nil
-	done(!req.failed)
+	req.Complete(!req.failed) // req may be recycled from here on
 	s.admit()
 }
 

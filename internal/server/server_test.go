@@ -139,7 +139,7 @@ func TestServerDownstreamCallHoldsThread(t *testing.T) {
 			{Kind: PhaseCPU, Duration: 0.010},
 			{Kind: PhaseCall, Call: &OutCall{
 				Target: db,
-				Build:  func() []Phase { return []Phase{{Kind: PhaseCPU, Duration: 0.020}} },
+				Phases: []Phase{{Kind: PhaseCPU, Duration: 0.020}},
 			}},
 			{Kind: PhaseCPU, Duration: 0.005},
 		},
@@ -167,7 +167,7 @@ func TestServerConnPoolGatesDownstream(t *testing.T) {
 			Phases: []Phase{{Kind: PhaseCall, Call: &OutCall{
 				Target: db,
 				Pool:   pool,
-				Build:  func() []Phase { return []Phase{{Kind: PhaseSleep, Duration: 0.1}} },
+				Phases: []Phase{{Kind: PhaseSleep, Duration: 0.1}},
 			}}},
 			Done: func(bool) {},
 		})
@@ -198,7 +198,7 @@ func TestServerDownstreamFailurePropagates(t *testing.T) {
 		app.Submit(&Request{
 			Phases: []Phase{{Kind: PhaseCall, Call: &OutCall{
 				Target: db,
-				Build:  func() []Phase { return []Phase{{Kind: PhaseSleep, Duration: 0.5}} },
+				Phases: []Phase{{Kind: PhaseSleep, Duration: 0.5}},
 			}}},
 			Done: func(ok bool) {
 				if ok {
@@ -436,7 +436,7 @@ func TestProcPoolShrinkLazy(t *testing.T) {
 	p := NewProcPool(eng, 2, des.Second)
 	var ends []des.Time
 	for i := 0; i < 4; i++ {
-		p.Demand(1, func() { ends = append(ends, eng.Now()) })
+		p.Demand(1, onDone(func() { ends = append(ends, eng.Now()) }))
 	}
 	eng.At(0.5, func() { p.SetChannels(1) })
 	eng.Run()
@@ -457,7 +457,7 @@ func TestProcPoolQueueLen(t *testing.T) {
 	eng := des.New()
 	p := NewProcPool(eng, 1, des.Second)
 	for i := 0; i < 3; i++ {
-		p.Demand(1, func() {})
+		p.Demand(1, onDone(func() {}))
 	}
 	if p.QueueLen() != 2 || p.Busy() != 1 {
 		t.Fatalf("QueueLen/Busy = %d/%d", p.QueueLen(), p.Busy())

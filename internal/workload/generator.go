@@ -158,7 +158,12 @@ func (g *Generator) startOpenLoop() {
 		think = 1
 	}
 	end := g.startAt + g.cfg.Trace.Duration
+	// Both callbacks are bound once, so an arrival allocates no closure.
 	var next func()
+	arrive := func() {
+		g.issueOpen()
+		next()
+	}
 	next = func() {
 		now := g.eng.Now()
 		if now >= end {
@@ -169,10 +174,7 @@ func (g *Generator) startOpenLoop() {
 		if rate <= 0 {
 			rate = 0.1
 		}
-		g.eng.After(des.Time(g.rnd.Exp(1/rate)), func() {
-			g.issueOpen()
-			next()
-		})
+		g.eng.After(des.Time(g.rnd.Exp(1/rate)), arrive)
 	}
 	next()
 }

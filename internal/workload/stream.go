@@ -158,7 +158,16 @@ func (g *Generator) startStreaming() {
 	g.stream = newStreamStats(classes, g.cfg.TailFrom)
 	rates := make([]float64, len(classes))
 	end := g.startAt + g.cfg.Trace.Duration
+	// Both callbacks are bound once, so an arrival allocates no closure.
 	var next func()
+	arrive := func() {
+		class := 0
+		if len(rates) > 1 {
+			class = g.rnd.Pick(rates)
+		}
+		g.issueStream(class)
+		next()
+	}
 	next = func() {
 		now := g.eng.Now()
 		if now >= end {
@@ -173,14 +182,7 @@ func (g *Generator) startStreaming() {
 		if total <= 0 {
 			total = 0.1 // idle-trace keep-alive, as in the open-loop path
 		}
-		g.eng.After(des.Time(g.rnd.Exp(1/total)), func() {
-			class := 0
-			if len(rates) > 1 {
-				class = g.rnd.Pick(rates)
-			}
-			g.issueStream(class)
-			next()
-		})
+		g.eng.After(des.Time(g.rnd.Exp(1/total)), arrive)
 	}
 	next()
 }
